@@ -3,7 +3,7 @@
 // sweep), DBSCAN and k-medoids (incremental and recompute) on the same
 // workload over three backends — the compiled CSR snapshot, the pointer
 // Network it was compiled from, and the warm disk Store — plus the
-// frontier-parallel and worker-fanned legs of the CSR-only kernels. Run it
+// worker-fanned legs of the CSR-only batched kernels. Run it
 // with
 //
 //	go test -run '^$' -bench CSRSuite -benchtime 1x .
@@ -21,14 +21,12 @@ package netclus_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"netclus"
 )
@@ -44,13 +42,6 @@ type benchCSREntry struct {
 	// GOMAXPROCS is recorded per entry: parallel legs are meaningless
 	// without the processor count they actually ran under.
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// CritNsPerOp is the modeled critical path of the fused clustering
-	// legs (min over iterations of Stats.CritNs): the slowest worker
-	// stripe plus the serial merge, i.e. what a host with one core per
-	// worker would pay. On hosts with fewer cores than workers the wall
-	// time cannot scale, but the critical path still does — the same
-	// convention the shard suite's crit entries use.
-	CritNsPerOp float64 `json:"crit_ns_per_op,omitempty"`
 }
 
 type benchCSRReport struct {
@@ -67,61 +58,13 @@ type benchCSRReport struct {
 	// stripping the worker leg and then trailing -variant segments
 	// (knn-batch/workers=2 scores against network/knn).
 	SpeedupVsNetwork map[string]float64 `json:"speedup_vs_network"`
-	// ParallelScaling is crit(workers=1) / crit(workers=4) per fused
-	// clustering workload: how much of the engine's work parallelizes,
-	// measured on the modeled critical path so the number is meaningful
-	// even when GOMAXPROCS caps the realized wall time.
-	ParallelScaling map[string]float64 `json:"parallel_scaling,omitempty"`
 }
 
 func recordBenchCSR(b *testing.B, name string, nsPerOp float64) {
-	recordBenchCSRCrit(b, name, nsPerOp, 0)
-}
-
-func recordBenchCSRCrit(b *testing.B, name string, nsPerOp, critNsPerOp float64) {
 	b.Helper()
 	benchCSRMu.Lock()
-	benchCSRResults[name] = benchCSREntry{
-		NsPerOp: nsPerOp, Iters: b.N, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CritNsPerOp: critNsPerOp,
-	}
+	benchCSRResults[name] = benchCSREntry{NsPerOp: nsPerOp, Iters: b.N, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	benchCSRMu.Unlock()
-}
-
-// minIterCrit is minIter for the fused clustering legs: fn reports each
-// iteration's modeled critical path (Stats.CritNs) and both minima are
-// returned — wall for the speedup map, crit for the scaling map.
-func minIterCrit(b *testing.B, fn func() int64) (minNs, minCrit float64) {
-	minNs, minCrit = math.Inf(1), math.Inf(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		crit := fn()
-		if d := float64(time.Since(t0).Nanoseconds()); d < minNs {
-			minNs = d
-		}
-		if c := float64(crit); c < minCrit {
-			minCrit = c
-		}
-	}
-	b.StopTimer()
-	return minNs, minCrit
-}
-
-// csrParallelScaling derives crit(workers=1)/crit(workers=4) per fused
-// clustering workload from the recorded entries.
-func csrParallelScaling(results map[string]benchCSREntry) map[string]float64 {
-	out := map[string]float64{}
-	for name, w1 := range results {
-		op, ok := strings.CutSuffix(name, "/workers=1")
-		if !ok || w1.CritNsPerOp <= 0 {
-			continue
-		}
-		if w4, ok := results[op+"/workers=4"]; ok && w4.CritNsPerOp > 0 {
-			out[strings.TrimPrefix(op, "csr/")] = w1.CritNsPerOp / w4.CritNsPerOp
-		}
-	}
-	return out
 }
 
 // csrSpeedups derives the speedup map from the recorded entries: every
@@ -194,7 +137,6 @@ func BenchmarkCSRSuite(b *testing.B) {
 			return
 		}
 		report.SpeedupVsNetwork = csrSpeedups(benchCSRResults)
-		report.ParallelScaling = csrParallelScaling(benchCSRResults)
 		writeBenchReport(b, "BENCH_csr.json", report)
 	})
 
@@ -253,22 +195,6 @@ func BenchmarkCSRSuite(b *testing.B) {
 			b.Fatalf("backend %s: labels differ from csr", bk.name)
 		}
 	}
-	// The fused engine (Workers >= 1 on the snapshot) must reproduce the
-	// sequential labels exactly before its legs are timed.
-	for _, workers := range []int{1, 4} {
-		db, err := netclus.DBSCANCtx(ctx, sn, netclus.DBSCANOptions{Eps: eps, MinPts: 3, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		el, err := netclus.EpsLinkCtx(ctx, sn, netclus.EpsLinkOptions{Eps: epsEL, MinSup: 3, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !reflect.DeepEqual(wantDB, db.Labels) || !reflect.DeepEqual(wantEL, el.Labels) {
-			b.Fatalf("fused engine workers=%d: labels differ from sequential", workers)
-		}
-	}
-
 	for _, bk := range backends {
 		bk := bk
 		b.Run(bk.name+"/range", func(b *testing.B) {
@@ -337,10 +263,9 @@ func BenchmarkCSRSuite(b *testing.B) {
 		})
 	}
 
-	// CSR-only kernels: the batched multi-source range mode, the
-	// frontier-parallel wide range, and the batched SoA kNN sweep, each at
-	// worker counts 1/2/4 so the report shows the parallel trajectory even
-	// when GOMAXPROCS caps the realized speedup.
+	// CSR-only kernels: the batched multi-source range mode and the batched
+	// SoA kNN sweep, each at worker counts 1/2/4 so the report shows the
+	// parallel trajectory even when GOMAXPROCS caps the realized speedup.
 	for _, workers := range []int{1, 2, 4} {
 		workers := workers
 		b.Run(fmt.Sprintf("csr/range-each/workers=%d", workers), func(b *testing.B) {
@@ -352,41 +277,6 @@ func BenchmarkCSRSuite(b *testing.B) {
 				}
 			})
 			recordBenchCSR(b, fmt.Sprintf("csr/range-each/workers=%d", workers), minNs)
-		})
-		b.Run(fmt.Sprintf("csr/range-wide-par/workers=%d", workers), func(b *testing.B) {
-			// Reuse one result buffer across probes, like the sequential
-			// legs reuse their scratch result slice.
-			var buf []netclus.PointDist
-			minNs := minIter(b, func() {
-				for _, p := range wideProbes {
-					res, err := sn.RangeQueryDistParallelInto(ctx, p, epsWide, workers, buf)
-					if err != nil {
-						b.Fatal(err)
-					}
-					buf = res
-				}
-			})
-			recordBenchCSR(b, fmt.Sprintf("csr/range-wide-par/workers=%d", workers), minNs)
-		})
-		b.Run(fmt.Sprintf("csr/dbscan/workers=%d", workers), func(b *testing.B) {
-			minNs, minCrit := minIterCrit(b, func() int64 {
-				res, err := netclus.DBSCANCtx(ctx, sn, netclus.DBSCANOptions{Eps: eps, MinPts: 3, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return res.Stats.CritNs
-			})
-			recordBenchCSRCrit(b, fmt.Sprintf("csr/dbscan/workers=%d", workers), minNs, minCrit)
-		})
-		b.Run(fmt.Sprintf("csr/epslink/workers=%d", workers), func(b *testing.B) {
-			minNs, minCrit := minIterCrit(b, func() int64 {
-				res, err := netclus.EpsLinkCtx(ctx, sn, netclus.EpsLinkOptions{Eps: epsEL, MinSup: 3, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				return res.Stats.CritNs
-			})
-			recordBenchCSRCrit(b, fmt.Sprintf("csr/epslink/workers=%d", workers), minNs, minCrit)
 		})
 		b.Run(fmt.Sprintf("csr/knn-batch/workers=%d", workers), func(b *testing.B) {
 			kb := sn.NewKNNBatch()

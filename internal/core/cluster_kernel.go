@@ -2,49 +2,57 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"netclus/internal/network"
 	"netclus/internal/unionfind"
 )
 
-// This file drives DBSCAN and ε-Link through a graph's fused clustering
-// engine (network.ClusterKernel — the compiled CSR snapshot and the sharded
-// set implement it). The kernel supplies the two parallel passes — fused
-// core flags and ε-graph unions — and this layer finishes the labelling
-// with the PR 1 merge contract: order-free union-find merge, components
-// labelled by ascending minimum member, borders adopting the minimum
-// core-neighbour label. The labels are identical to the sequential generic
-// path; only the wall clock (and the CritNs/WallNs stats) differ.
+// This file drives DBSCAN through a graph's shard-local sweep
+// (network.ClusterKernel — the sharded set implements it). The kernel
+// supplies the two passes — core flags and core-core ε-graph unions — and
+// this layer finishes the labelling with an order-free merge contract:
+// union-find shards folded together, components labelled by ascending
+// minimum member, borders adopting the minimum core-neighbour label. The
+// labels are identical to the sequential expansion.
+
+// borderEdge records that non-core point border lies in the ε-neighbourhood
+// of core point core — a cluster-adoption candidate.
+type borderEdge struct {
+	border network.PointID
+	core   network.PointID
+}
 
 // dbscanKernel labels via ck's CoreFlags + EpsUnions passes.
-func dbscanKernel(ctx context.Context, g network.Graph, ck network.ClusterKernel, opts DBSCANOptions, workers int) (*DBSCANResult, error) {
+//
+// The clusters are exactly the components of the core-core ε-graph. Cluster
+// IDs go to components by ascending minimum core point — the order the
+// sequential outer scan discovers them — and a border point joins the
+// smallest cluster ID among its core neighbours, which is the cluster that
+// would have reached it first sequentially (clusters expand to completion
+// one at a time, in ID order).
+func dbscanKernel(ctx context.Context, g network.Graph, ck network.ClusterKernel, opts DBSCANOptions) (*DBSCANResult, error) {
 	n := g.NumPoints()
 	res := &DBSCANResult{Labels: make([]int32, n), Core: make([]bool, n)}
 	core := res.Core
-	st1, err := ck.CoreFlags(ctx, opts.Eps, opts.MinPts, workers, opts.Prune, core)
+	stripes := ck.Stripes(opts.Workers)
+	q1, err := ck.CoreFlags(ctx, opts.Eps, opts.MinPts, stripes, core)
 	if err != nil {
 		return nil, err
 	}
-	ufs := make([]*unionfind.UF, workers)
+	ufs := make([]*unionfind.UF, stripes)
 	for w := range ufs {
 		ufs[w] = unionfind.New(n)
 	}
-	borders := make([][]borderEdge, workers)
-	st2, err := ck.EpsUnions(ctx, opts.Eps, workers, opts.Prune, core, ufs, func(w int, b, c network.PointID) {
+	borders := make([][]borderEdge, stripes)
+	q2, err := ck.EpsUnions(ctx, opts.Eps, core, ufs, func(w int, b, c network.PointID) {
 		borders[w] = append(borders[w], borderEdge{border: b, core: c})
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Epilogue — same labelling as dbscanParallel's, but the shard merge is
-	// folded pairwise so its critical path shrinks with rounds, and the
-	// remaining serial tail is timed so the stats' critical-path model
-	// charges it to every worker.
-	uf, mergeCrit, mergeWall := mergeUnionFindsCrit(ufs)
-	t0 := time.Now()
-	next := labelComponents(uf, res.Labels, func(p int) bool { return core[p] })
+	uf := mergeUnionFinds(ufs)
+	next := labelComponents(uf, res.Labels, core)
 	labels := res.Labels
 	for _, bl := range borders {
 		for _, be := range bl {
@@ -60,98 +68,42 @@ func dbscanKernel(ctx context.Context, g network.Graph, ck network.ClusterKernel
 		}
 	}
 	res.NumClusters = int(next)
-	tail := time.Since(t0).Nanoseconds()
-
-	var cs network.ClusterStats
-	cs.Add(st1)
-	cs.Add(st2)
-	res.Stats.RangeQueries = cs.RangeQueries
-	res.Stats.Prune = cs.Prune
-	res.Stats.CritNs = cs.CritNs + mergeCrit + tail
-	res.Stats.WallNs = cs.WallNs + mergeWall + tail
+	res.Stats.RangeQueries = q1 + q2
 	return res, nil
 }
 
-// epsLinkKernel labels via ck's EpsUnions pass with every point selected:
-// the ε-Link clusters are exactly the connected components of the ε-graph.
-func epsLinkKernel(ctx context.Context, g network.Graph, ck network.ClusterKernel, opts EpsLinkOptions, workers int) (*EpsLinkResult, error) {
-	n := g.NumPoints()
-	res := &EpsLinkResult{Labels: make([]int32, n)}
-	ufs := make([]*unionfind.UF, workers)
-	for w := range ufs {
-		ufs[w] = unionfind.New(n)
+// mergeUnionFinds folds the stripe union-find shards into the first one and
+// returns it: every element is unioned with its shard representative, so the
+// result's components are the transitive closure of all shards' unions.
+func mergeUnionFinds(ufs []*unionfind.UF) *unionfind.UF {
+	for _, src := range ufs[1:] {
+		src.MergeInto(ufs[0])
 	}
-	st, err := ck.EpsUnions(ctx, opts.Eps, workers, nil, nil, ufs, nil)
-	if err != nil {
-		return nil, err
-	}
-	uf, mergeCrit, mergeWall := mergeUnionFindsCrit(ufs)
+	return ufs[0]
+}
 
-	// Label and count in one scan: components get labels by ascending
-	// minimum member (labelComponents' order) while the member counts for
-	// the min_sup filter accumulate in the same pass.
-	t0 := time.Now()
-	labels := res.Labels
-	rootLab := make([]int32, n)
+// labelComponents assigns cluster labels by ascending minimum member: it
+// scans the points in ID order and gives each union-find root the next label
+// on first sight — exactly the order in which the sequential algorithm
+// discovers clusters. Points with include[p] false keep Noise. It returns
+// the number of labels assigned.
+func labelComponents(uf *unionfind.UF, labels []int32, include []bool) int32 {
+	rootLab := make([]int32, len(labels))
 	for i := range rootLab {
 		rootLab[i] = Noise
 	}
-	counts := make([]int32, 0, 64)
 	next := int32(0)
 	for p := range labels {
+		labels[p] = Noise
+		if !include[p] {
+			continue
+		}
 		r := uf.Find(p)
-		l := rootLab[r]
-		if l == Noise {
-			l = next
-			rootLab[r] = l
+		if rootLab[r] == Noise {
+			rootLab[r] = next
 			next++
-			counts = append(counts, 0)
 		}
-		labels[p] = l
-		counts[l]++
+		labels[p] = rootLab[r]
 	}
-	res.ClustersFound = int(next)
-	kept := int(next)
-	if sup := int32(opts.MinSup); sup > 1 {
-		kept = 0
-		for _, c := range counts {
-			if c >= sup {
-				kept++
-			}
-		}
-		if kept < res.ClustersFound {
-			for i, l := range labels {
-				if counts[l] < sup {
-					labels[i] = Noise
-				}
-			}
-		}
-	}
-	res.NumClusters = kept
-	tail := time.Since(t0).Nanoseconds()
-
-	res.Stats.RangeQueries = st.RangeQueries
-	res.Stats.CritNs = st.CritNs + mergeCrit + tail
-	res.Stats.WallNs = st.WallNs + mergeWall + tail
-	return res, nil
-}
-
-// epsLinkFlat labels via lk's native sequential Fig. 6 traversal (the
-// compiled snapshot's flat-array port) — the sequential dispatch target.
-// The kernel applies the min_sup filter itself from the per-grow member
-// counts, so there is no suppression epilogue here.
-func epsLinkFlat(ctx context.Context, g network.Graph, lk network.EpsLinkKernel, opts EpsLinkOptions) (*EpsLinkResult, error) {
-	n := g.NumPoints()
-	res := &EpsLinkResult{Labels: make([]int32, n)}
-	t0 := time.Now()
-	found, kept, err := lk.EpsLinkLabels(ctx, opts.Eps, opts.MinSup, res.Labels)
-	if err != nil {
-		return nil, err
-	}
-	res.ClustersFound = found
-	res.NumClusters = kept
-	ns := time.Since(t0).Nanoseconds()
-	res.Stats.CritNs = ns
-	res.Stats.WallNs = ns
-	return res, nil
+	return next
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"netclus/internal/network"
-	"netclus/internal/unionfind"
 )
 
 // DBSCANOptions configures the network adaptation of DBSCAN (§4.3): the
@@ -18,11 +17,11 @@ type DBSCANOptions struct {
 	// ε-neighbourhood (itself included) holds at least MinPts points. The
 	// paper's experiments use MinPts = 3.
 	MinPts int
-	// Workers fans the range queries across this many goroutines (<= 1 runs
-	// the sequential expansion). The parallel mode makes two passes — core
-	// flags, then core-core unions plus border adoption — each worker with
-	// its own graph read view and scratch; labels are identical to the
-	// sequential run.
+	// Workers sets the stripe count of the shard-local sweep on graphs that
+	// have one (network.ClusterKernel, the sharded set): the two passes run
+	// in Workers stripes clamped to [1, number of shards]. Every other graph
+	// — and every run with Prune set — runs the sequential expansion, and
+	// Workers has no effect there. Labels are identical either way.
 	Workers int
 	// Prune, when non-nil, runs every ε-range query through the
 	// filter-and-refine path (see network.RangeScratch.SetBounder). Labels
@@ -61,8 +60,7 @@ func DBSCAN(g network.Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 
 // DBSCANCtx is DBSCAN with cancellation: the range queries check ctx
 // periodically and the run returns an error wrapping ctx.Err() when it is
-// done. With opts.Workers > 1 the queries are fanned across that many
-// goroutines.
+// done.
 func DBSCANCtx(ctx context.Context, g network.Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	if !(opts.Eps > 0) {
 		return nil, fmt.Errorf("%w: DBSCAN: Eps must be > 0 (got %v)", ErrInvalidOptions, opts.Eps)
@@ -70,15 +68,11 @@ func DBSCANCtx(ctx context.Context, g network.Graph, opts DBSCANOptions) (*DBSCA
 	if opts.MinPts < 1 {
 		return nil, fmt.Errorf("%w: DBSCAN: MinPts must be >= 1 (got %d)", ErrInvalidOptions, opts.MinPts)
 	}
-	// An explicit Workers request (>= 1) on a graph with a fused clustering
-	// engine runs the kernel path; Workers left zero keeps the sequential
-	// expansion, and graphs without a kernel fall back to the generic
-	// two-pass fan-out. All three produce identical labels.
-	if ck, ok := g.(network.ClusterKernel); ok && opts.Workers >= 1 {
-		return dbscanKernel(ctx, g, ck, opts, normWorkers(opts.Workers))
-	}
-	if workers := normWorkers(opts.Workers); workers > 1 {
-		return dbscanParallel(ctx, g, opts, workers)
+	// A graph with a shard-local sweep runs it unless a Bounder is given;
+	// everything else runs the sequential expansion below. Both produce
+	// identical labels.
+	if ck, ok := g.(network.ClusterKernel); ok && opts.Prune == nil {
+		return dbscanKernel(ctx, g, ck, opts)
 	}
 	n := g.NumPoints()
 	res := &DBSCANResult{Labels: make([]int32, n), Core: make([]bool, n)}
@@ -135,120 +129,5 @@ func DBSCANCtx(ctx context.Context, g network.Graph, opts DBSCANOptions) (*DBSCA
 		}
 	}
 	res.NumClusters = int(next)
-	return res, nil
-}
-
-// borderEdge records that non-core point border lies in the ε-neighbourhood
-// of core point core — a cluster-adoption candidate.
-type borderEdge struct {
-	border network.PointID
-	core   network.PointID
-}
-
-// dbscanParallel reproduces the sequential labelling in two parallel passes.
-//
-// Pass 1 flags core points (one ε-range query per point). Pass 2 re-queries
-// the core points only: core-core neighbour pairs are unioned (the clusters
-// are exactly the components of the core-core ε-graph) and core-border
-// pairs are recorded. Cluster IDs go to components by ascending minimum
-// core point — the order the sequential outer scan discovers them — and a
-// border point joins the smallest cluster ID among its core neighbours,
-// which is the cluster that would have reached it first sequentially
-// (clusters expand to completion one at a time, in ID order).
-func dbscanParallel(ctx context.Context, g network.Graph, opts DBSCANOptions, workers int) (*DBSCANResult, error) {
-	n := g.NumPoints()
-	res := &DBSCANResult{Labels: make([]int32, n), Core: make([]bool, n)}
-	core := res.Core
-	statsArr := make([]Stats, workers)
-	// Per-worker scratches of both passes, harvested for prune counters
-	// after the workers finish (each slot is touched by one goroutine).
-	scratches := make([]network.RangeQuerier, 2*workers)
-
-	// Pass 1: core flags. Each worker writes disjoint core[p] slots.
-	err := parallelPoints(workers, n, func(w int) func(lo, hi int) error {
-		view := network.ReadView(g)
-		scratch := network.ScratchFor(view)
-		scratch.SetBounder(opts.Prune)
-		scratches[w] = scratch
-		st := &statsArr[w]
-		return func(lo, hi int) error {
-			for p := lo; p < hi; p++ {
-				nb, err := scratch.RangeQueryCtx(ctx, view, network.PointID(p), opts.Eps)
-				if err != nil {
-					return err
-				}
-				st.RangeQueries++
-				if len(nb) >= opts.MinPts {
-					core[p] = true
-				}
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 2: core-core unions and border adoption candidates.
-	ufs := make([]*unionfind.UF, workers)
-	borders := make([][]borderEdge, workers)
-	err = parallelPoints(workers, n, func(w int) func(lo, hi int) error {
-		view := network.ReadView(g)
-		scratch := network.ScratchFor(view)
-		scratch.SetBounder(opts.Prune)
-		scratches[workers+w] = scratch
-		uf := unionfind.New(n)
-		ufs[w] = uf
-		st := &statsArr[w]
-		return func(lo, hi int) error {
-			for p := lo; p < hi; p++ {
-				if !core[p] {
-					continue
-				}
-				nb, err := scratch.RangeQueryCtx(ctx, view, network.PointID(p), opts.Eps)
-				if err != nil {
-					return err
-				}
-				st.RangeQueries++
-				for _, q := range nb {
-					if core[q] {
-						uf.Union(p, int(q))
-					} else {
-						borders[w] = append(borders[w], borderEdge{border: q, core: network.PointID(p)})
-					}
-				}
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	uf := mergeUnionFinds(ufs)
-	next := labelComponents(uf, res.Labels, func(p int) bool { return core[p] })
-	labels := res.Labels
-	for _, bl := range borders {
-		for _, be := range bl {
-			c := labels[uf.Find(int(be.core))]
-			if labels[be.border] == Noise || c < labels[be.border] {
-				labels[be.border] = c
-			}
-		}
-	}
-	for _, flag := range core {
-		if flag {
-			res.CorePoints++
-		}
-	}
-	res.NumClusters = int(next)
-	for _, st := range statsArr {
-		res.Stats.add(st)
-	}
-	for _, sc := range scratches {
-		if sc != nil {
-			res.Stats.Prune.Add(sc.PruneStats())
-		}
-	}
 	return res, nil
 }

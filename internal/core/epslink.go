@@ -7,7 +7,6 @@ import (
 
 	"netclus/internal/heapx"
 	"netclus/internal/network"
-	"netclus/internal/unionfind"
 )
 
 // EpsLinkOptions configures the ε-Link algorithm (§4.3.1).
@@ -18,11 +17,9 @@ type EpsLinkOptions struct {
 	Eps float64
 	// MinSup declares clusters with fewer members outliers (0/1 keeps all).
 	MinSup int
-	// Workers fans the clustering across this many goroutines (<= 1 runs the
-	// sequential Fig. 6 algorithm). The parallel mode issues one ε-range
-	// query per point, each worker with its own graph read view and scratch,
-	// and merges the per-worker union-finds; labels are identical to the
-	// sequential run.
+	// Workers is accepted for symmetry with the other algorithms and has
+	// no effect: ε-Link always runs the sequential Fig. 6 traversal, which
+	// beats every parallel variant measured on every backend.
 	Workers int
 }
 
@@ -92,26 +89,23 @@ func EpsLink(g network.Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 
 // EpsLinkCtx is EpsLink with cancellation: the traversal checks ctx
 // periodically and returns an error wrapping ctx.Err() when it is done.
-// With opts.Workers > 1 the run is fanned across that many goroutines.
 func EpsLinkCtx(ctx context.Context, g network.Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	if !(opts.Eps > 0) {
 		return nil, fmt.Errorf("%w: EpsLink: Eps must be > 0 (got %v)", ErrInvalidOptions, opts.Eps)
 	}
-	// An explicit Workers request (>= 1) on a graph with a fused clustering
-	// engine runs the kernel path; otherwise graphs with a native flat
-	// Fig. 6 port run it sequentially, and everything else runs the generic
-	// traversal below. All paths produce identical labels.
-	if ck, ok := g.(network.ClusterKernel); ok && opts.Workers >= 1 {
-		return epsLinkKernel(ctx, g, ck, opts, normWorkers(opts.Workers))
-	}
-	if workers := normWorkers(opts.Workers); workers > 1 {
-		return epsLinkParallel(ctx, g, opts, workers)
-	}
-	if lk, ok := g.(network.EpsLinkKernel); ok {
-		return epsLinkFlat(ctx, g, lk, opts)
-	}
 	n := g.NumPoints()
 	res := &EpsLinkResult{Labels: make([]int32, n)}
+	// A graph with a native flat Fig. 6 port runs it (it applies the
+	// min_sup filter itself); everything else runs the generic traversal
+	// below. Both produce identical labels.
+	if lk, ok := g.(network.EpsLinkKernel); ok {
+		found, kept, err := lk.EpsLinkLabels(ctx, opts.Eps, opts.MinSup, res.Labels)
+		if err != nil {
+			return nil, err
+		}
+		res.ClustersFound, res.NumClusters = found, kept
+		return res, nil
+	}
 	for i := range res.Labels {
 		res.Labels[i] = Noise
 	}
@@ -290,49 +284,4 @@ func (s *epsLinkState) expandEdge(b epsEntry, nb network.Neighbor, label int32) 
 		s.push(nb.Node, newdNz)
 	}
 	return nil
-}
-
-// epsLinkParallel computes the same clustering as the sequential Fig. 6
-// algorithm from its defining relation: the ε-Link clusters are the
-// connected components of the graph that joins p and q when d(p, q) <= eps.
-// Every point issues one ε-range query (fanned across workers, each with
-// its own read view, scratch and union-find shard); the shards are merged
-// and components are labelled by ascending minimum member — exactly the
-// order in which the sequential run discovers clusters, so the Labels
-// slice is identical.
-func epsLinkParallel(ctx context.Context, g network.Graph, opts EpsLinkOptions, workers int) (*EpsLinkResult, error) {
-	n := g.NumPoints()
-	res := &EpsLinkResult{Labels: make([]int32, n)}
-	ufs := make([]*unionfind.UF, workers)
-	statsArr := make([]Stats, workers)
-	err := parallelPoints(workers, n, func(w int) func(lo, hi int) error {
-		view := network.ReadView(g)
-		scratch := network.ScratchFor(view)
-		uf := unionfind.New(n)
-		ufs[w] = uf
-		st := &statsArr[w]
-		return func(lo, hi int) error {
-			for p := lo; p < hi; p++ {
-				nb, err := scratch.RangeQueryCtx(ctx, view, network.PointID(p), opts.Eps)
-				if err != nil {
-					return err
-				}
-				st.RangeQueries++
-				for _, q := range nb {
-					uf.Union(p, int(q))
-				}
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	uf := mergeUnionFinds(ufs)
-	res.ClustersFound = int(labelComponents(uf, res.Labels, nil))
-	for _, st := range statsArr {
-		res.Stats.add(st)
-	}
-	res.NumClusters = suppressAndCountDense(res.Labels, opts.MinSup, res.ClustersFound)
-	return res, nil
 }

@@ -1,53 +1,10 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"netclus/internal/unionfind"
 )
-
-// TestLabelMergePairwiseEquivalence checks that the pairwise tree merge
-// (mergeUnionFindsCrit) produces exactly the partition of the sequential
-// left fold and of one union-find fed every union directly — unions commute,
-// so shard placement and fold order must be invisible.
-func TestLabelMergePairwiseEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, shards := range []int{1, 2, 3, 5, 8} {
-		for trial := 0; trial < 4; trial++ {
-			n := 50 + rng.Intn(150)
-			flat := unionfind.New(n)
-			ufs := make([]*unionfind.UF, shards)
-			seq := make([]*unionfind.UF, shards)
-			for w := range ufs {
-				ufs[w] = unionfind.New(n)
-				seq[w] = unionfind.New(n)
-			}
-			for i := 0; i < n*2; i++ {
-				a, b, w := rng.Intn(n), rng.Intn(n), rng.Intn(shards)
-				flat.Union(a, b)
-				ufs[w].Union(a, b)
-				seq[w].Union(a, b)
-			}
-			merged, crit, wall := mergeUnionFindsCrit(ufs)
-			fold := mergeUnionFinds(seq)
-			if crit < 0 || wall < 0 {
-				t.Fatalf("shards=%d: implausible crit=%d wall=%d", shards, crit, wall)
-			}
-			for a := 0; a < n; a++ {
-				for b := a + 1; b < n; b++ {
-					want := flat.SameSet(a, b)
-					if merged.SameSet(a, b) != want {
-						t.Fatalf("shards=%d trial=%d: pairwise merge partition differs at (%d,%d)", shards, trial, a, b)
-					}
-					if fold.SameSet(a, b) != want {
-						t.Fatalf("shards=%d trial=%d: left fold partition differs at (%d,%d)", shards, trial, a, b)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestLabelMergeSingletonCheap pins MergeInto's contract: merging a shard
 // that never recorded a union must leave the destination untouched.

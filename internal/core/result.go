@@ -30,14 +30,6 @@ type Stats struct {
 	GroupsRead   int // point-group fetches
 	RangeQueries int // ε-range queries issued (DBSCAN)
 
-	// CritNs and WallNs model parallel clustering runs through a fused
-	// kernel (network.ClusterKernel): CritNs is the critical path — the
-	// slowest worker stripe plus the serial merge — i.e. what a host with
-	// one core per worker would pay, WallNs the realized wall time on this
-	// host. Both zero for runs that did not go through a kernel.
-	CritNs int64
-	WallNs int64
-
 	// Prune counts the work saved by lower-bound pruning; all-zero when no
 	// Bounder was configured.
 	Prune network.PruneStats
@@ -49,8 +41,6 @@ func (s *Stats) add(o Stats) {
 	s.EdgesVisited += o.EdgesVisited
 	s.GroupsRead += o.GroupsRead
 	s.RangeQueries += o.RangeQueries
-	s.CritNs += o.CritNs
-	s.WallNs += o.WallNs
 	s.Prune.Add(o.Prune)
 }
 

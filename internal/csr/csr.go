@@ -76,11 +76,11 @@ type Snapshot struct {
 	// snapshot exactly as on the source.
 	coords []network.Coord
 
-	// invDelta is 1/Δ for the Δ-stepping bucket queue of ExpandNearest and
-	// the frontier-parallel range kernel, with Δ the mean edge weight: a
-	// frontier entry at distance d files under bucket floor(d·invDelta).
-	// Zero when the graph has no edges (the kernels then run single-bucket,
-	// which is plain label-correcting and still correct).
+	// invDelta is 1/Δ for the Δ-stepping bucket queue of ExpandNearest,
+	// with Δ the mean edge weight: a frontier entry at distance d files
+	// under bucket floor(d·invDelta). Zero when the graph has no edges (the
+	// kernel then runs single-bucket, which is plain label-correcting and
+	// still correct).
 	invDelta float64
 
 	stats Stats
@@ -96,14 +96,6 @@ type Snapshot struct {
 
 	// assignPool recycles the per-node dirty stamps of AssignNearestDelta.
 	assignPool sync.Pool
-
-	// prangePool recycles the coordination state of the frontier-parallel
-	// range expansion (bucket queue, proposal buffers, worker slots).
-	prangePool sync.Pool
-
-	// clusterPool recycles the per-stripe coordination state of the fused
-	// clustering passes (CoreFlags / EpsUnions).
-	clusterPool sync.Pool
 
 	// epsPool recycles the flat-array ε-Link traversal state (per-cluster
 	// epoch-stamped NNdist plus the run's clustered flags).

@@ -1,8 +1,7 @@
 // Property tests for the specialized CSR kernels: the Δ-stepping k-medoids
 // expansion must land on the same (dist, med, node) lexicographic fixpoint as
-// the generic binary-heap engine, the frontier-parallel range kernel must
-// reproduce the sequential kernel bit for bit at every worker count, and the
-// batched kNN sweep must answer every query exactly like a lone call.
+// the generic binary-heap engine, and the batched kNN sweep must answer every
+// query exactly like a lone call.
 package csr_test
 
 import (
@@ -121,49 +120,6 @@ func TestExpandNearestLexTie(t *testing.T) {
 		if med[6] != 0 || med[8] != 1 {
 			t.Fatalf("flanks med[6]=%d med[8]=%d, want 0 and 1", med[6], med[8])
 		}
-	}
-}
-
-// TestRangeDistParallelMatchesSequential checks the frontier-parallel range
-// kernel reproduces the sequential kernel's canonical output bit for bit at
-// every worker count — including eps wide enough that the whole network is
-// one expansion, the regime the kernel exists for.
-func TestRangeDistParallelMatchesSequential(t *testing.T) {
-	ctx := context.Background()
-	for name, g := range instances(t) {
-		t.Run(name, func(t *testing.T) {
-			sn := compile(t, g)
-			sc := sn.NewRangeScratch()
-			for p := 0; p < g.NumPoints(); p += 3 {
-				for _, eps := range []float64{0.25, 1.0, 3.5, 1e9} {
-					want, err := sc.RangeQueryDistCtx(ctx, sn, network.PointID(p), eps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantCopy := append([]network.PointDist{}, want...)
-					for _, workers := range []int{1, 2, 4} {
-						// The uncapped entry point bypasses the public API's
-						// GOMAXPROCS cap so the frontier-split machinery runs
-						// at every worker count even on a single-P host;
-						// workers=1 goes through the public path (sequential
-						// kernel).
-						var got []network.PointDist
-						var err error
-						if workers == 1 {
-							got, err = sn.RangeQueryDistParallel(ctx, network.PointID(p), eps, workers)
-						} else {
-							got, err = sn.RangeParallelUncapped(ctx, network.PointID(p), eps, workers)
-						}
-						if err != nil {
-							t.Fatalf("workers=%d: %v", workers, err)
-						}
-						if !reflect.DeepEqual(wantCopy, append([]network.PointDist{}, got...)) {
-							t.Fatalf("p=%d eps=%v workers=%d:\nwant %v\ngot  %v", p, eps, workers, wantCopy, got)
-						}
-					}
-				}
-			}
-		})
 	}
 }
 

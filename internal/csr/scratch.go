@@ -271,3 +271,103 @@ func cancelCheck(ctx context.Context, counter *int) error {
 	}
 	return nil
 }
+
+// RangeCount counts the points within eps of p (p included), stopping the
+// expansion as soon as the count reaches target — counts only grow, so
+// membership of the minPts threshold is already proven (the shard sweep's
+// core-flag early exit). When the count stays below target the expansion runs to
+// completion and the exact count is returned together with whether any
+// watched node settled (necessarily within eps): the boundary-contact
+// signal the sharded pass's locality proof reads, always false without a
+// watch mask and meaningless after an early exit.
+func (sc *Scratch) RangeCount(ctx context.Context, p network.PointID, eps float64, target int) (int, bool, error) {
+	ticks := 0
+	if err := cancelCheck(ctx, &ticks); err != nil {
+		return 0, false, err
+	}
+	sn := sc.sn
+	if p < 0 || int(p) >= len(sn.ptPos) {
+		return 0, false, fmt.Errorf("%w: %d", network.ErrPointRange, p)
+	}
+	sc.nextEpoch()
+	cnt, hit := 0, false
+	pg := &sn.groups[sn.ptGrp[p]]
+	pos := sn.ptPos[p]
+	first := int32(pg.First)
+	off := sn.ptPos[first : first+pg.Count]
+	pi := int(int32(p) - first)
+	// Same-edge arms: each index is fresh by construction, but the stamps
+	// still have to be laid down so node-route rediscoveries don't recount.
+	for i := pi; i >= 0 && pos-off[i] <= eps; i-- {
+		sc.ptEpoch[first+int32(i)] = sc.epoch
+		cnt++
+	}
+	for i := pi + 1; i < len(off) && off[i]-pos <= eps; i++ {
+		sc.ptEpoch[first+int32(i)] = sc.epoch
+		cnt++
+	}
+	if cnt >= target {
+		return cnt, hit, nil
+	}
+	if pos <= eps {
+		sc.heap.Push(entry{node: int32(pg.N1), dist: pos})
+	}
+	if d := pg.Weight - pos; d <= eps {
+		sc.heap.Push(entry{node: int32(pg.N2), dist: d})
+	}
+	for !sc.heap.Empty() {
+		e := sc.heap.Pop()
+		if e.dist >= sc.dist(e.node) {
+			continue
+		}
+		if err := cancelCheck(ctx, &ticks); err != nil {
+			return cnt, hit, err
+		}
+		sc.nodeEpoch[e.node] = sc.epoch
+		sc.nodeDist[e.node] = e.dist
+		if sc.watch != nil && sc.watch[e.node] {
+			hit = true
+		}
+		for i, end := sn.rowOff[e.node], sn.rowOff[e.node+1]; i < end; i++ {
+			if gid := sn.adjGroup[i]; gid >= 0 {
+				cnt = sc.countCollect(e.node, gid, e.dist, eps, cnt)
+				if cnt >= target {
+					return cnt, hit, nil
+				}
+			}
+			if nd := e.dist + sn.adjW[i]; nd <= eps {
+				if v := sn.adjNode[i]; nd < sc.dist(v) {
+					sc.heap.Push(entry{node: v, dist: nd})
+				}
+			}
+		}
+	}
+	return cnt, hit, nil
+}
+
+// countCollect is collect's counting twin: it stamps the qualifying points
+// of group gid and bumps the count once per first sight, skipping the
+// per-point distance bookkeeping the membership test doesn't need.
+func (sc *Scratch) countCollect(u, gid int32, du, eps float64, cnt int) int {
+	sn := sc.sn
+	pg := &sn.groups[gid]
+	first := int32(pg.First)
+	off := sn.ptPos[first : first+pg.Count]
+	budget := eps - du
+	if u == int32(pg.N1) {
+		for i := 0; i < len(off) && off[i] <= budget; i++ {
+			if q := first + int32(i); sc.ptEpoch[q] != sc.epoch {
+				sc.ptEpoch[q] = sc.epoch
+				cnt++
+			}
+		}
+	} else {
+		for i := len(off) - 1; i >= 0 && pg.Weight-off[i] <= budget; i-- {
+			if q := first + int32(i); sc.ptEpoch[q] != sc.epoch {
+				sc.ptEpoch[q] = sc.epoch
+				cnt++
+			}
+		}
+	}
+	return cnt
+}

@@ -6,63 +6,35 @@ import (
 	"netclus/internal/unionfind"
 )
 
-// ClusterStats reports the work and the timing model of one fused clustering
-// pass (a ClusterKernel call).
-type ClusterStats struct {
-	// RangeQueries counts the ε-expansions the pass ran (one per swept
-	// point, in the units core.Stats.RangeQueries uses).
-	RangeQueries int
-	// CritNs models the pass's critical path: the slowest worker stripe.
-	// On a host with fewer processors than workers the stripes run (partly)
-	// sequentially but are timed individually, so CritNs still reports what
-	// a machine with one core per worker would pay — the same modeling
-	// convention as the sharded executor's CritNs counter.
-	CritNs int64
-	// WallNs is the realized wall time of the pass on this host.
-	WallNs int64
-	// Prune aggregates the filter-and-refine counters when the pass ran
-	// under a Bounder.
-	Prune PruneStats
-}
-
-// Add accumulates o into s (used to sum the passes of one clustering run).
-func (s *ClusterStats) Add(o ClusterStats) {
-	s.RangeQueries += o.RangeQueries
-	s.CritNs += o.CritNs
-	s.WallNs += o.WallNs
-	s.Prune.Add(o.Prune)
-}
-
-// ClusterKernel is implemented by graphs with a native fused clustering
-// engine: the compiled CSR snapshot sweeps its flat arrays with pooled
-// epoch-stamped scratches, the sharded set runs the same passes shard-local
-// with boundary escalation. The two passes are the substrate DBSCAN and
-// ε-Link labelling is built from; core dispatches to them when the caller
-// asks for parallel clustering (Workers >= 1), and the labels are identical
-// to the sequential generic path by the PR 1 merge contract (order-free
-// unions, components labelled by ascending minimum member, borders adopting
-// the minimum core-neighbour label).
+// ClusterKernel is implemented by graphs with a native shard-local DBSCAN
+// sweep (the sharded set): each shard sweeps the points it owns with its own
+// compiled kernel and only the points whose ε-expansion may leave the shard
+// escalate to a global query. core.DBSCANCtx runs it whenever no Bounder is
+// given, at every Workers value: the passes run in Stripes(Workers)
+// concurrent stripes, and the labels are identical to the sequential
+// expansion (order-free unions, components labelled by ascending minimum
+// member, borders adopting the minimum core-neighbour label).
 type ClusterKernel interface {
+	// Stripes returns the number of concurrent stripes the passes run for
+	// a Workers request: workers clamped to [1, number of shards].
+	Stripes(workers int) int
+
 	// CoreFlags writes, for every point p, whether p's ε-neighbourhood
 	// (p itself included) holds at least minPts points into core[p]
-	// (len(core) == NumPoints()). The sweep may stop counting a
-	// neighbourhood early once minPts members are proven. With a non-nil
-	// prune every expansion runs the filter-and-refine path and the stats
-	// carry its counters.
-	CoreFlags(ctx context.Context, eps float64, minPts, workers int, prune Bounder, core []bool) (ClusterStats, error)
+	// (len(core) == NumPoints()), sweeping in stripes concurrent stripes.
+	// It returns the number of ε-expansions it ran.
+	CoreFlags(ctx context.Context, eps float64, minPts, stripes int, core []bool) (int, error)
 
-	// EpsUnions computes the ε-graph connectivity of the selected points:
-	// after the call, the transitive closure of the unions recorded across
-	// the per-worker shards ufs[0..workers-1] (each pre-sized to NumPoints())
-	// connects selected points p and q exactly when a chain of selected
-	// points with consecutive network distances <= eps links them. sel == nil
-	// selects every point (the ε-Link relation); otherwise only points with
-	// sel[p] are swept and unioned (DBSCAN's core-core graph). For every
-	// unselected point b within eps of a swept point c, border(w, b, c) is
-	// called from worker stripe w — concurrently across stripes, sequentially
-	// within one — so the caller can collect adoption candidates into
-	// per-worker lists without locking. border may be nil when sel is nil.
-	EpsUnions(ctx context.Context, eps float64, workers int, prune Bounder, sel []bool, ufs []*unionfind.UF, border func(w int, b, c PointID)) (ClusterStats, error)
+	// EpsUnions sweeps the core points in len(ufs) concurrent stripes and
+	// records the core-core ε-graph: after the call, the transitive closure
+	// of the unions across ufs (each pre-sized to NumPoints()) connects core
+	// points p and q exactly when a chain of core points with consecutive
+	// network distances <= eps links them. For every non-core point b
+	// within eps of a core point c, border(w, b, c) is called from stripe w
+	// — concurrently across stripes, sequentially within one — so the
+	// caller can collect adoption candidates into per-stripe lists without
+	// locking. It returns the number of ε-expansions it ran.
+	EpsUnions(ctx context.Context, eps float64, core []bool, ufs []*unionfind.UF, border func(w int, b, c PointID)) (int, error)
 }
 
 // EpsLinkKernel is implemented by graphs with a native sequential ε-Link

@@ -3,180 +3,110 @@ package shard
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"netclus/internal/network"
 	"netclus/internal/unionfind"
 )
 
-// This file implements the fused clustering engine (network.ClusterKernel)
-// over a sharded set. Each pass runs shard-local first: a shard sweeps the
-// points it owns with its own compiled kernel under the boundary watch
-// mask, and a point whose ε-expansion completes without settling a boundary
-// node is proven exact — any ≤ε path leaving the shard would have settled
-// its first boundary node within ε first, so the local neighbourhood IS the
-// global one. Only the points whose expansion touches the boundary — plus
-// the points of cut groups, which no shard owns — escalate to the
-// scatter-gather executor for an exact global query, serially from the
-// coordinator. Shards are statically partitioned across the requested
-// workers (worker w owns shards w, w+workers, …), so per-worker union-find
-// shards and border lists need no locking, and the critical-path model
-// charges each worker its own shard sweeps plus the shared serial tail —
-// the same convention as the executor's per-round CritNs.
+// This file implements the shard-local DBSCAN sweep (network.ClusterKernel).
+// Each pass runs shard-local first: a shard sweeps the points it owns with
+// its own compiled kernel under the boundary watch mask, and a point whose
+// ε-expansion completes without settling a boundary node is proven exact —
+// any ≤ε path leaving the shard would have settled its first boundary node
+// within ε first, so the local neighbourhood IS the global one. Only the
+// points whose expansion touches the boundary — plus the points of cut
+// groups, which no shard owns — escalate to the scatter-gather executor for
+// an exact global query, serially from the coordinator. Shards are
+// statically partitioned across the stripes (stripe w owns shards w,
+// w+stripes, …), so per-stripe union-find shards and border lists need no
+// locking.
 
 var _ network.ClusterKernel = (*Set)(nil)
 
-// clusterShards runs pass over every shard, statically partitioned across
-// workers; each worker sweeps its shards sequentially on one pooled
-// executor and collects the global IDs of points it could not prove
-// locally into its own escalation list. Workers run concurrently when the
-// host has spare processors; either way each is timed individually and
-// CritNs reports the slowest, WallNs the realized elapsed time. pass
-// returns how many local queries it ran.
-func (set *Set) clusterShards(ctx context.Context, workers int, pass func(w, s int, q *Querier, esc *[]network.PointID) (int, error)) (network.ClusterStats, [][]network.PointID, error) {
-	if workers > set.k {
-		workers = set.k
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ns := make([]int64, workers)
-	qs := make([]int64, workers)
-	errs := make([]error, workers)
-	escs := make([][]network.PointID, workers)
-	t0 := time.Now()
-	runWorker := func(w int) {
-		q := set.acquireQuerier()
-		defer set.releaseQuerier(q)
-		st := time.Now()
-		total := 0
-		for s := w; s < set.k; s += workers {
-			c, err := pass(w, s, q, &escs[w])
-			total += c
-			if err != nil {
-				errs[w] = err
-				break
-			}
-		}
-		ns[w] = time.Since(st).Nanoseconds()
-		qs[w] = int64(total)
-	}
-	if workers == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for w := 0; w < workers; w++ {
-			runWorker(w)
-			if errs[w] != nil {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runWorker(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	var out network.ClusterStats
-	for w := 0; w < workers; w++ {
-		if ns[w] > out.CritNs {
-			out.CritNs = ns[w]
-		}
-		out.RangeQueries += int(qs[w])
-	}
-	out.WallNs = time.Since(t0).Nanoseconds()
-	for w := 0; w < workers; w++ {
-		if err := errs[w]; err != nil {
-			return out, escs, err
-		}
-	}
-	return out, escs, nil
+// Stripes clamps a Workers request to [1, K]. Satisfies
+// network.ClusterKernel.
+func (set *Set) Stripes(workers int) int {
+	return min(max(workers, 1), set.k)
 }
 
-// clusterPrunedSweep is the filter-and-refine fallback of both passes: with
-// a Bounder installed there is no shard-local early exit to fuse, so the
-// selected points are swept in contiguous stripes, each worker running
-// pruned global queries on its own pooled executor. visit is called with
-// the worker index and the exact global result set of each swept point —
-// concurrently across stripes, sequentially within one.
-func (set *Set) clusterPrunedSweep(ctx context.Context, eps float64, workers int, prune network.Bounder, sel []bool, visit func(w int, p network.PointID, res []network.PointID)) (network.ClusterStats, error) {
-	n := len(set.ptPos)
-	var out network.ClusterStats
-	if n == 0 {
-		return out, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	ns := make([]int64, workers)
-	qs := make([]int64, workers)
-	prs := make([]network.PruneStats, workers)
-	errs := make([]error, workers)
-	t0 := time.Now()
-	runStripe := func(w int) {
+// clusterShards runs pass over every shard, statically partitioned across
+// stripes running concurrently; each stripe sweeps its shards sequentially
+// on one pooled executor and collects the global IDs of points it could not
+// prove locally into its own escalation list. pass returns how many local
+// queries it ran; clusterShards returns their total.
+func (set *Set) clusterShards(stripes int, pass func(w, s int, q *Querier, esc *[]network.PointID) (int, error)) (int, [][]network.PointID, error) {
+	stripes = set.Stripes(stripes)
+	counts := make([]int, stripes)
+	errs := make([]error, stripes)
+	escs := make([][]network.PointID, stripes)
+	run := func(w int) {
 		q := set.acquireQuerier()
 		defer set.releaseQuerier(q)
-		q.SetBounder(prune)
-		defer q.SetBounder(nil)
-		pb := q.PruneStats()
-		st := time.Now()
-		queries := 0
-		lo, hi := w*n/workers, (w+1)*n/workers
-		for p := lo; p < hi; p++ {
-			if sel != nil && !sel[p] {
-				continue
-			}
-			res, err := q.RangeQueryCtx(ctx, set, network.PointID(p), eps)
+		for s := w; s < set.k; s += stripes {
+			c, err := pass(w, s, q, &escs[w])
+			counts[w] += c
 			if err != nil {
 				errs[w] = err
-				break
-			}
-			queries++
-			visit(w, network.PointID(p), res)
-		}
-		ns[w] = time.Since(st).Nanoseconds()
-		qs[w] = int64(queries)
-		prs[w] = q.PruneStats().Sub(pb)
-	}
-	if workers == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for w := 0; w < workers; w++ {
-			runStripe(w)
-			if errs[w] != nil {
-				break
+				return
 			}
 		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runStripe(w)
-			}(w)
-		}
-		wg.Wait()
 	}
-	for w := 0; w < workers; w++ {
-		if ns[w] > out.CritNs {
-			out.CritNs = ns[w]
-		}
-		out.RangeQueries += int(qs[w])
-		out.Prune.Add(prs[w])
+	var wg sync.WaitGroup
+	for w := 1; w < stripes; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			run(w)
+		}(w)
 	}
-	out.WallNs = time.Since(t0).Nanoseconds()
-	for w := 0; w < workers; w++ {
-		if err := errs[w]; err != nil {
-			return out, err
+	run(0)
+	wg.Wait()
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	for _, err := range errs {
+		if err != nil {
+			return total, escs, err
 		}
 	}
-	return out, nil
+	return total, escs, nil
+}
+
+// escalate runs visit on the exact global ε-neighbourhood of every escalated
+// point and every cut-group point (only those with sel[gp] when sel is
+// non-nil), serially on one pooled executor, and returns how many global
+// queries it ran.
+func (set *Set) escalate(ctx context.Context, eps float64, sel []bool, escs [][]network.PointID, visit func(gp network.PointID, res []network.PointID)) (int, error) {
+	q := set.acquireQuerier()
+	defer set.releaseQuerier(q)
+	n := 0
+	query := func(gp network.PointID) error {
+		if sel != nil && !sel[gp] {
+			return nil
+		}
+		res, err := q.RangeQueryCtx(ctx, set, gp, eps)
+		if err != nil {
+			return err
+		}
+		n++
+		visit(gp, res)
+		return nil
+	}
+	for _, gp := range set.cutPts {
+		if err := query(gp); err != nil {
+			return n, err
+		}
+	}
+	for _, el := range escs {
+		for _, gp := range el {
+			if err := query(gp); err != nil {
+				return n, err
+			}
+		}
+	}
+	return n, nil
 }
 
 // CoreFlags writes, for every point, whether its ε-neighbourhood holds at
@@ -184,20 +114,15 @@ func (set *Set) clusterPrunedSweep(ctx context.Context, eps float64, workers int
 // minPts; a completed local count that never touched the boundary is exact,
 // everything else re-runs through the global executor. Satisfies
 // network.ClusterKernel.
-func (set *Set) CoreFlags(ctx context.Context, eps float64, minPts, workers int, prune network.Bounder, core []bool) (network.ClusterStats, error) {
+func (set *Set) CoreFlags(ctx context.Context, eps float64, minPts, stripes int, core []bool) (int, error) {
 	n := len(set.ptPos)
 	if len(core) != n {
-		return network.ClusterStats{}, fmt.Errorf("%w: CoreFlags needs len(core) == %d, got %d", network.ErrInvalidOptions, n, len(core))
+		return 0, fmt.Errorf("%w: CoreFlags needs len(core) == %d, got %d", network.ErrInvalidOptions, n, len(core))
 	}
 	if !(eps > 0) || minPts < 1 {
-		return network.ClusterStats{}, fmt.Errorf("%w: CoreFlags needs eps > 0 and minPts >= 1 (got %v, %d)", network.ErrInvalidOptions, eps, minPts)
+		return 0, fmt.Errorf("%w: CoreFlags needs eps > 0 and minPts >= 1 (got %v, %d)", network.ErrInvalidOptions, eps, minPts)
 	}
-	if prune != nil {
-		return set.clusterPrunedSweep(ctx, eps, workers, prune, nil, func(w int, p network.PointID, res []network.PointID) {
-			core[p] = len(res) >= minPts
-		})
-	}
-	st, escs, err := set.clusterShards(ctx, workers, func(w, s int, q *Querier, esc *[]network.PointID) (int, error) {
+	local, escs, err := set.clusterShards(stripes, func(w, s int, q *Querier, esc *[]network.PointID) (int, error) {
 		sc := q.scratch(s)
 		cnt := 0
 		for _, g32 := range set.pointGlobal[s] {
@@ -219,78 +144,46 @@ func (set *Set) CoreFlags(ctx context.Context, eps float64, minPts, workers int,
 		return cnt, nil
 	})
 	if err != nil {
-		return st, err
+		return local, err
 	}
-	t0 := time.Now()
-	q := set.acquireQuerier()
-	defer set.releaseQuerier(q)
-	flag := func(gp network.PointID) error {
-		nb, err := q.RangeQueryCtx(ctx, set, gp, eps)
-		if err != nil {
-			return err
-		}
-		st.RangeQueries++
-		core[gp] = len(nb) >= minPts
-		return nil
-	}
-	for _, gp := range set.cutPts {
-		if err := flag(gp); err != nil {
-			return st, err
-		}
-	}
-	for _, el := range escs {
-		for _, gp := range el {
-			if err := flag(gp); err != nil {
-				return st, err
-			}
-		}
-	}
-	tail := time.Since(t0).Nanoseconds()
-	st.CritNs += tail
-	st.WallNs += tail
-	return st, nil
+	global, err := set.escalate(ctx, eps, nil, escs, func(gp network.PointID, res []network.PointID) {
+		core[gp] = len(res) >= minPts
+	})
+	return local + global, err
 }
 
-// EpsUnions records the ε-graph connectivity of the selected points into
-// the per-worker union-find shards. Shard-local sweeps whose expansion
-// never touched the boundary union their exact neighbourhoods in place;
-// boundary-touching points and cut-group points re-sweep through the global
-// executor from the coordinator, into shard 0's union-find (unions commute,
-// so placement is free). Satisfies network.ClusterKernel.
-func (set *Set) EpsUnions(ctx context.Context, eps float64, workers int, prune network.Bounder, sel []bool, ufs []*unionfind.UF, border func(w int, b, c network.PointID)) (network.ClusterStats, error) {
+// EpsUnions records the core-core ε-graph into the per-stripe union-find
+// shards. Shard-local sweeps whose expansion never touched the boundary
+// union their exact neighbourhoods in place; boundary-touching points and
+// cut-group points re-sweep through the global executor from the
+// coordinator, into ufs[0] (unions commute, so placement is free). Each
+// core pair within eps is unioned once, at its larger endpoint's sweep.
+// Satisfies network.ClusterKernel.
+func (set *Set) EpsUnions(ctx context.Context, eps float64, core []bool, ufs []*unionfind.UF, border func(w int, b, c network.PointID)) (int, error) {
 	n := len(set.ptPos)
-	if sel != nil && len(sel) != n {
-		return network.ClusterStats{}, fmt.Errorf("%w: EpsUnions needs len(sel) == %d, got %d", network.ErrInvalidOptions, n, len(sel))
+	if len(core) != n {
+		return 0, fmt.Errorf("%w: EpsUnions needs len(core) == %d, got %d", network.ErrInvalidOptions, n, len(core))
 	}
 	if !(eps > 0) {
-		return network.ClusterStats{}, fmt.Errorf("%w: EpsUnions needs eps > 0 (got %v)", network.ErrInvalidOptions, eps)
+		return 0, fmt.Errorf("%w: EpsUnions needs eps > 0 (got %v)", network.ErrInvalidOptions, eps)
 	}
 	if len(ufs) == 0 {
-		return network.ClusterStats{}, fmt.Errorf("%w: EpsUnions needs at least one union-find shard", network.ErrInvalidOptions)
+		return 0, fmt.Errorf("%w: EpsUnions needs at least one union-find shard", network.ErrInvalidOptions)
 	}
-	if workers > len(ufs) {
-		workers = len(ufs)
+	link := func(w int, gp, gq network.PointID) {
+		switch {
+		case !core[gq]:
+			border(w, gq, gp)
+		case gq < gp:
+			ufs[w].Union(int(gp), int(gq))
+		}
 	}
-	if prune != nil {
-		return set.clusterPrunedSweep(ctx, eps, workers, prune, sel, func(w int, p network.PointID, res []network.PointID) {
-			for _, gq := range res {
-				if sel == nil || sel[gq] {
-					if gq < p {
-						ufs[w].Union(int(p), int(gq))
-					}
-				} else {
-					border(w, gq, p)
-				}
-			}
-		})
-	}
-	st, escs, err := set.clusterShards(ctx, workers, func(w, s int, q *Querier, esc *[]network.PointID) (int, error) {
+	local, escs, err := set.clusterShards(len(ufs), func(w, s int, q *Querier, esc *[]network.PointID) (int, error) {
 		sc := q.scratch(s)
-		uf := ufs[w]
 		cnt := 0
 		for _, g32 := range set.pointGlobal[s] {
 			gp := network.PointID(g32)
-			if sel != nil && !sel[gp] {
+			if !core[gp] {
 				continue
 			}
 			if err := sc.SeededRange(ctx, network.PointID(set.pointLocal[g32]), nil, eps, false); err != nil {
@@ -304,59 +197,18 @@ func (set *Set) EpsUnions(ctx context.Context, eps float64, workers int, prune n
 				continue
 			}
 			for _, lq := range sc.RangeResults() {
-				gq := network.PointID(set.pointGlobal[s][lq])
-				if sel == nil || sel[gq] {
-					if gq < gp {
-						uf.Union(int(gp), int(gq))
-					}
-				} else {
-					border(w, gq, gp)
-				}
+				link(w, gp, network.PointID(set.pointGlobal[s][lq]))
 			}
 		}
 		return cnt, nil
 	})
 	if err != nil {
-		return st, err
+		return local, err
 	}
-	t0 := time.Now()
-	q := set.acquireQuerier()
-	defer set.releaseQuerier(q)
-	uf0 := ufs[0]
-	sweep := func(gp network.PointID) error {
-		if sel != nil && !sel[gp] {
-			return nil
-		}
-		res, err := q.RangeQueryCtx(ctx, set, gp, eps)
-		if err != nil {
-			return err
-		}
-		st.RangeQueries++
+	global, err := set.escalate(ctx, eps, core, escs, func(gp network.PointID, res []network.PointID) {
 		for _, gq := range res {
-			if sel == nil || sel[gq] {
-				if gq < gp {
-					uf0.Union(int(gp), int(gq))
-				}
-			} else {
-				border(0, gq, gp)
-			}
+			link(0, gp, gq)
 		}
-		return nil
-	}
-	for _, gp := range set.cutPts {
-		if err := sweep(gp); err != nil {
-			return st, err
-		}
-	}
-	for _, el := range escs {
-		for _, gp := range el {
-			if err := sweep(gp); err != nil {
-				return st, err
-			}
-		}
-	}
-	tail := time.Since(t0).Nanoseconds()
-	st.CritNs += tail
-	st.WallNs += tail
-	return st, nil
+	})
+	return local + global, err
 }

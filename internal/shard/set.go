@@ -107,7 +107,7 @@ type Set struct {
 	pointLocal  []int32
 	pointGlobal [][]int32
 	// cutPts lists the points of cut groups in ascending ID order — the
-	// points no shard owns, which the fused clustering passes always send
+	// points no shard owns, which the shard-local DBSCAN sweep always sends
 	// through the global executor.
 	cutPts []network.PointID
 

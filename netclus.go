@@ -377,8 +377,8 @@ func EpsLink(g Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	return core.EpsLink(g, opts)
 }
 
-// EpsLinkCtx is EpsLink with cancellation; opts.Workers fans the range
-// queries across goroutines with labels identical to the sequential run.
+// EpsLinkCtx is EpsLink with cancellation. It always runs sequentially;
+// opts.Workers has no effect.
 func EpsLinkCtx(ctx context.Context, g Graph, opts EpsLinkOptions) (*EpsLinkResult, error) {
 	return core.EpsLinkCtx(ctx, g, opts)
 }
@@ -388,8 +388,10 @@ func DBSCAN(g Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	return core.DBSCAN(g, opts)
 }
 
-// DBSCANCtx is DBSCAN with cancellation; opts.Workers fans the range
-// queries across goroutines with labels identical to the sequential run.
+// DBSCANCtx is DBSCAN with cancellation. On a sharded set without a
+// Bounder it runs the shard-local sweep in opts.Workers stripes (clamped to
+// [1, shards]); everywhere else it runs sequentially. Labels are identical
+// either way.
 func DBSCANCtx(ctx context.Context, g Graph, opts DBSCANOptions) (*DBSCANResult, error) {
 	return core.DBSCANCtx(ctx, g, opts)
 }
